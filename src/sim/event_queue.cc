@@ -76,24 +76,24 @@ EventQueue::deferToLane(unsigned lane, EventFn fn)
 }
 
 void
-EventQueue::siftUp(std::size_t i)
+EventHeap::siftUp(std::size_t i)
 {
-    Key k = heap[i];
+    Key k = keys[i];
     while (i > 0) {
         std::size_t parent = (i - 1) >> 2;
-        if (!before(k, heap[parent]))
+        if (!before(k, keys[parent]))
             break;
-        heap[i] = heap[parent];
+        keys[i] = keys[parent];
         i = parent;
     }
-    heap[i] = k;
+    keys[i] = k;
 }
 
 void
-EventQueue::siftDown(std::size_t i)
+EventHeap::siftDown(std::size_t i)
 {
-    const std::size_t n = heap.size();
-    Key k = heap[i];
+    const std::size_t n = keys.size();
+    Key k = keys[i];
     for (;;) {
         std::size_t child = 4 * i + 1;
         if (child >= n)
@@ -101,91 +101,47 @@ EventQueue::siftDown(std::size_t i)
         std::size_t best = child;
         std::size_t last = std::min(child + 4, n);
         for (std::size_t j = child + 1; j < last; ++j)
-            if (before(heap[j], heap[best]))
+            if (before(keys[j], keys[best]))
                 best = j;
-        if (!before(heap[best], k))
+        if (!before(keys[best], k))
             break;
-        heap[i] = heap[best];
+        keys[i] = keys[best];
         i = best;
     }
-    heap[i] = k;
+    keys[i] = k;
 }
 
 void
-EventQueue::popTop()
+EventHeap::popTop()
 {
-    heap.front() = heap.back();
-    heap.pop_back();
-    if (!heap.empty())
+    keys.front() = keys.back();
+    keys.pop_back();
+    if (!keys.empty())
         siftDown(0);
 }
 
 std::uint64_t
 EventQueue::run(std::uint64_t limit)
 {
-    if (par) {
-        // Windows are the smallest unit of parallel work: step whole
-        // windows until drained or the (approximate) limit is met.
-        // Each non-empty window executes at least one event, so drain
-        // loops calling run(1) always make progress.
-        std::uint64_t total = 0;
-        while (!par->empty() && total < limit)
-            total += par->runOneWindow();
-        _now = std::max(_now, par->now());
-        return total;
-    }
-    std::uint64_t count = 0;
-    while (!heap.empty() && count < limit) {
-        Key top = heap.front();
-        popTop();
-        _now = top.when;
-        // Move the callable out and free its slot before invoking: the
-        // callback may schedule new events (growing or reusing the
-        // slab) while it runs.
-        EventFn fn = std::move(slots[top.slot]);
-        freeSlots.push_back(top.slot);
-        if (SimProfiler *prof = SimProfiler::active()) {
-            prof->onExecute(top.when, heap.size() + 1, slots.size(),
-                            freeSlots.size());
-            ProfScope scope(prof, ProfKind::Event, 0, {});
-            fn();
-        } else {
-            fn();
-        }
-        ++count;
-        ++statExecuted;
-    }
-    return count;
+    return runUntil(maxTick, limit);
 }
 
 std::uint64_t
 EventQueue::runUntil(Tick end, std::uint64_t limit)
 {
     if (par) {
-        (void)limit; // window granularity; see header
-        const std::uint64_t n = par->runUntil(end);
+        const std::uint64_t n = par->runUntil(end, limit);
         _now = std::max(_now, par->now());
         return n;
     }
     std::uint64_t count = 0;
-    while (!heap.empty() && heap.front().when <= end && count < limit) {
-        Key top = heap.front();
-        popTop();
-        _now = top.when;
-        EventFn fn = std::move(slots[top.slot]);
-        freeSlots.push_back(top.slot);
-        if (SimProfiler *prof = SimProfiler::active()) {
-            prof->onExecute(top.when, heap.size() + 1, slots.size(),
-                            freeSlots.size());
-            ProfScope scope(prof, ProfKind::Event, 0, {});
-            fn();
-        } else {
-            fn();
-        }
+    while (count < limit && !heap.empty() && heap.nextWhen() <= end) {
+        heap.dispatch([this](Tick when) { _now = when; });
         ++count;
         ++statExecuted;
     }
-    if (_now < end && (heap.empty() || heap.front().when > end))
+    if (end != maxTick && _now < end
+        && (heap.empty() || heap.nextWhen() > end))
         _now = end;
     return count;
 }

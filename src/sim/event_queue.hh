@@ -1,13 +1,17 @@
 /**
  * @file
- * A minimal deterministic discrete-event queue.
+ * The simulator's one event core and the deterministic queue built on
+ * it.
  *
  * Events are arbitrary callables scheduled at an absolute tick. Events
  * scheduled for the same tick fire in scheduling order (a monotonic
  * sequence number breaks ties), which keeps simulations reproducible.
  *
- * The queue is the hottest structure in the simulator, so it avoids
- * the two classic costs of the obvious implementation:
+ * EventHeap is the kernel. Both engines use it: EventQueue holds one
+ * for the sequential engine, and every lane of the parallel engine
+ * (sim/parallel_engine.hh) holds one. It is the hottest structure in
+ * the simulator, so it avoids the two classic costs of the obvious
+ * implementation:
  *
  *  - callables are stored in a small-buffer EventFn instead of a
  *    std::function, so the typical capture ([this, op]) never touches
@@ -18,20 +22,24 @@
  *    free-listed slab. Sift operations move only the small keys, never
  *    the callables.
  *
- * Scheduling an event in the past is a caller bug: sequentially it
- * asserts in debug builds and, in release builds, is clamped to now()
- * and counted in the `sched_past_tick` statistic so the condition
- * stays observable. Under the parallel engine (see below) the clamp
- * would silently mask a cross-shard causality violation, so a past
- * tick is a hard error (abort) there, in every build mode.
+ * EventHeap::dispatch is the one dispatch step (pop, free the slot,
+ * profiler hooks, invoke) that both engines' run loops call.
  *
- * The queue can optionally route through a ParallelEngine
- * (sim/parallel_engine.hh): when a MulticubeSystem is built with
- * simThreads > 0 the queue's schedules are sharded into per-bus-domain
- * lanes and executed window-by-window on a worker pool. Callers keep
- * using the same schedule()/run()/runUntil() surface; bus code uses
- * scheduleInLane() to pin its internal events to its lane, and
- * everything else lands on the serial lane.
+ * The heap holds no policy; its owners keep their rules. Scheduling an
+ * event in the past is a caller bug: sequentially it asserts in debug
+ * builds and, in release builds, is clamped to now() and counted in
+ * the `sched_past_tick` statistic so the condition stays observable.
+ * Under the parallel engine the clamp would silently mask a
+ * cross-shard causality violation, so a past tick is a hard error
+ * (abort) there, in every build mode.
+ *
+ * The queue can optionally route through a ParallelEngine: when a
+ * MulticubeSystem is built with simThreads > 0 the queue's schedules
+ * are sharded into per-bus-domain lanes and executed window-by-window
+ * on a worker pool. Callers keep using the same
+ * schedule()/run()/runUntil() surface; bus code uses scheduleInLane()
+ * to pin its internal events to its lane, and everything else lands on
+ * the serial lane.
  */
 
 #ifndef MCUBE_SIM_EVENT_QUEUE_HH
@@ -169,6 +177,92 @@ class EventFn
 };
 
 /**
+ * The event kernel: a 4-ary implicit min-heap of (when, seq, slot)
+ * keys over a free-listed slab of callables (see file comment).
+ * Events run in (when, push order).
+ */
+class EventHeap
+{
+  public:
+    /** Queue @p f at @p when, constructing its EventFn in the slab. */
+    template <typename F>
+    void
+    push(Tick when, F &&f)
+    {
+        std::uint32_t slot;
+        if (!freeSlots.empty()) {
+            slot = freeSlots.back();
+            freeSlots.pop_back();
+            slots[slot] = std::forward<F>(f);
+        } else {
+            slot = static_cast<std::uint32_t>(slots.size());
+            slots.emplace_back(std::forward<F>(f));
+        }
+        keys.push_back(Key{when, nextSeq++, slot});
+        siftUp(keys.size() - 1);
+    }
+
+    bool empty() const { return keys.empty(); }
+    std::size_t size() const { return keys.size(); }
+
+    /** Tick of the earliest event; the heap must not be empty. */
+    Tick nextWhen() const { return keys.front().when; }
+
+    /**
+     * Run the earliest event; the heap must not be empty. @p enter is
+     * called with the event's tick first, so the owner can set its
+     * clock. The callable is moved out and its slot freed before it
+     * runs, because it may push new events (growing or reusing the
+     * slab) while it runs.
+     */
+    template <typename Enter>
+    void
+    dispatch(Enter &&enter)
+    {
+        const Key top = keys.front();
+        popTop();
+        enter(top.when);
+        EventFn fn = std::move(slots[top.slot]);
+        freeSlots.push_back(top.slot);
+        if (SimProfiler *prof = SimProfiler::active()) {
+            prof->onExecute(top.when, keys.size() + 1, slots.size(),
+                            freeSlots.size());
+            ProfScope scope(prof, ProfKind::Event, 0, {});
+            fn();
+        } else {
+            fn();
+        }
+    }
+
+  private:
+    /** Heap key: priority (when, seq) plus the owning slab slot. */
+    struct Key
+    {
+        Tick when;
+        std::uint64_t seq;
+        std::uint32_t slot;
+    };
+
+    static bool
+    before(const Key &a, const Key &b)
+    {
+        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+    }
+
+    void siftUp(std::size_t i);
+    void siftDown(std::size_t i);
+
+    /** Remove the root key, keeping the heap valid. */
+    void popTop();
+
+    std::vector<Key> keys;
+    /** Stable slab of callables, indexed by Key::slot. */
+    std::vector<EventFn> slots;
+    std::vector<std::uint32_t> freeSlots;
+    std::uint64_t nextSeq = 0;
+};
+
+/**
  * The central event queue driving a simulation.
  *
  * All model components share one queue; the owner calls run() or
@@ -238,17 +332,7 @@ class EventQueue
         }
         if (SimProfiler *prof = SimProfiler::active())
             prof->onSchedule(when - _now);
-        std::uint32_t slot;
-        if (!freeSlots.empty()) {
-            slot = freeSlots.back();
-            freeSlots.pop_back();
-            slots[slot] = EventFn(std::forward<F>(f));
-        } else {
-            slot = static_cast<std::uint32_t>(slots.size());
-            slots.emplace_back(std::forward<F>(f));
-        }
-        heap.push_back(Key{when, nextSeq++, slot});
-        siftUp(heap.size() - 1);
+        heap.push(when, std::forward<F>(f));
     }
 
     /** Schedule a callable @p delay ticks in the future. */
@@ -331,7 +415,8 @@ class EventQueue
     void regStats(StatGroup &parent) { parent.addChild(statsGrp); }
 
     /**
-     * Run until the queue drains or @p limit events have executed.
+     * Run until the queue drains or @p limit events have executed:
+     * runUntil(maxTick, limit). Time stays at the last event run.
      * @return number of events executed by this call.
      */
     std::uint64_t run(std::uint64_t limit = UINT64_MAX);
@@ -339,9 +424,10 @@ class EventQueue
     /**
      * Run until simulated time reaches @p end (events at exactly @p end
      * do fire), the queue drains, or @p limit events execute. Time is
-     * left at @p end if the queue drained earlier. In parallel mode a
-     * window is the smallest unit of work, so @p limit is honored at
-     * window granularity (run() executes at least one whole window).
+     * left at @p end if no event at or before @p end remains (never
+     * for end == maxTick). In parallel mode a window is the smallest
+     * unit of work, so @p limit is honored at window granularity
+     * (run(1) executes one whole window).
      * @return number of events executed by this call.
      */
     std::uint64_t runUntil(Tick end, std::uint64_t limit = UINT64_MAX);
@@ -353,34 +439,9 @@ class EventQueue
     void parScheduleToLane(unsigned lane, Tick delay, EventFn fn);
     Tick parNow() const;
     bool parEmpty() const;
-    /** Heap key: priority (when, seq) plus the owning slab slot. */
-    struct Key
-    {
-        Tick when;
-        std::uint64_t seq;
-        std::uint32_t slot;
-    };
 
-    static bool
-    before(const Key &a, const Key &b)
-    {
-        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
-    }
-
-    void siftUp(std::size_t i);
-    void siftDown(std::size_t i);
-
-    /** Remove the root key, keeping the heap valid. */
-    void popTop();
-
-    /** 4-ary implicit min-heap of keys (see file comment). */
-    std::vector<Key> heap;
-    /** Stable slab of callables, indexed by Key::slot. */
-    std::vector<EventFn> slots;
-    std::vector<std::uint32_t> freeSlots;
-
+    EventHeap heap;
     Tick _now = 0;
-    std::uint64_t nextSeq = 0;
     ParallelEngine *par = nullptr;
 
     Counter statExecuted;

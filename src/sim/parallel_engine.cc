@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "sim/json.hh"
 #include "sim/profiler.hh"
 #include "trace/trace_event.hh"
 
@@ -58,8 +59,6 @@ nsSince(std::chrono::steady_clock::time_point t0)
             .count());
 }
 
-constexpr Tick kNoTick = static_cast<Tick>(-1);
-
 } // namespace
 
 /** A deferred cross-lane interaction (see mergeOutboxes). */
@@ -71,77 +70,13 @@ struct ParallelEngine::Outbox
     EventFn fn;
 };
 
-/**
- * One event-queue shard. Same layout idea as EventQueue: a 4-ary
- * implicit min-heap of small keys over a free-listed callable slab,
- * plus the lane's outbox of deferred cross-lane interactions.
- */
+/** One shard: an EventHeap, the kernel the sequential queue also
+ *  runs on, plus the outbox of deferred cross-lane interactions. */
 struct ParallelEngine::Lane
 {
-    struct Key
-    {
-        Tick when;
-        std::uint64_t seq;
-        std::uint32_t slot;
-    };
-
-    std::vector<Key> heap;
-    std::vector<EventFn> slots;
-    std::vector<std::uint32_t> freeSlots;
-    std::uint64_t nextSeq = 0;
+    EventHeap heap;
     std::uint64_t executed = 0;
     std::vector<Outbox> outbox;
-
-    static bool
-    before(const Key &a, const Key &b)
-    {
-        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
-    }
-
-    void
-    siftUp(std::size_t i)
-    {
-        Key k = heap[i];
-        while (i > 0) {
-            std::size_t parent = (i - 1) >> 2;
-            if (!before(k, heap[parent]))
-                break;
-            heap[i] = heap[parent];
-            i = parent;
-        }
-        heap[i] = k;
-    }
-
-    void
-    siftDown(std::size_t i)
-    {
-        const std::size_t n = heap.size();
-        Key k = heap[i];
-        for (;;) {
-            std::size_t child = 4 * i + 1;
-            if (child >= n)
-                break;
-            std::size_t best = child;
-            std::size_t last = std::min(child + 4, n);
-            for (std::size_t j = child + 1; j < last; ++j)
-                if (before(heap[j], heap[best]))
-                    best = j;
-            if (!before(heap[best], k))
-                break;
-            heap[i] = heap[best];
-            i = best;
-        }
-        heap[i] = k;
-    }
-
-    void
-    popTop()
-    {
-        heap.front() = heap.back();
-        heap.pop_back();
-        if (!heap.empty())
-            siftDown(0);
-    }
 };
 
 ParallelEngine::ParallelEngine(EventQueue &eq, unsigned n,
@@ -195,22 +130,6 @@ ParallelEngine::fatalPastTick(unsigned lane, Tick when, Tick ref) const
 }
 
 void
-ParallelEngine::pushEvent(Lane &lane, Tick when, EventFn fn)
-{
-    std::uint32_t slot;
-    if (!lane.freeSlots.empty()) {
-        slot = lane.freeSlots.back();
-        lane.freeSlots.pop_back();
-        lane.slots[slot] = std::move(fn);
-    } else {
-        slot = static_cast<std::uint32_t>(lane.slots.size());
-        lane.slots.push_back(std::move(fn));
-    }
-    lane.heap.push_back(Lane::Key{when, lane.nextSeq++, slot});
-    lane.siftUp(lane.heap.size() - 1);
-}
-
-void
 ParallelEngine::scheduleLane(unsigned lane, Tick when, EventFn fn)
 {
     const Tick ref = ctxNow();
@@ -229,7 +148,7 @@ ParallelEngine::scheduleLane(unsigned lane, Tick when, EventFn fn)
             Outbox{when, lane, false, std::move(fn)});
         return;
     }
-    pushEvent(*lanes[lane], when, std::move(fn));
+    lanes[lane]->heap.push(when, std::move(fn));
 }
 
 void
@@ -248,47 +167,39 @@ ParallelEngine::deferCall(unsigned lane, EventFn fn)
         Outbox{tlCtx.now, lane, true, std::move(fn)});
 }
 
-void
+std::uint64_t
 ParallelEngine::runLane(unsigned lane_idx, Tick window_end)
 {
     Lane &L = *lanes[lane_idx];
     // Install this lane's shard observers on the executing thread (a
     // worker or the coordinator) so MCUBE_TRACE / MCUBE_PROF_SCOPE
-    // sites inside events record lane-locally; restored on exit.
-    SimProfiler *prof =
-        profShards_.empty() ? nullptr : profShards_[lane_idx].get();
+    // sites inside events, and the dispatch's profiler hooks, record
+    // lane-locally; restored on exit.
+    const bool profiling = !profShards_.empty();
     SimProfiler *prevProf = nullptr;
-    if (prof)
-        prevProf = SimProfiler::exchangeActive(prof);
+    if (profiling)
+        prevProf =
+            SimProfiler::exchangeActive(profShards_[lane_idx].get());
     TransactionTracer *prevTracer = nullptr;
     const bool tracing = !traceShards_.empty();
     if (tracing)
         prevTracer = TransactionTracer::exchangeActive(
             traceShards_[lane_idx].get());
     ExecCtx saved = tlCtx;
-    while (!L.heap.empty() && L.heap.front().when < window_end) {
-        Lane::Key top = L.heap.front();
-        L.popTop();
-        // Move the callable out and free its slot before invoking: the
-        // callback may schedule new events on this lane while it runs.
-        EventFn fn = std::move(L.slots[top.slot]);
-        L.freeSlots.push_back(top.slot);
-        tlCtx = ExecCtx{this, lane_idx, top.when};
-        if (prof) {
-            prof->onExecute(top.when, L.heap.size() + 1,
-                            L.slots.size(), L.freeSlots.size());
-            ProfScope scope(prof, ProfKind::Event, 0, {});
-            fn();
-        } else {
-            fn();
-        }
-        ++L.executed;
+    std::uint64_t ran = 0;
+    while (!L.heap.empty() && L.heap.nextWhen() < window_end) {
+        L.heap.dispatch([this, lane_idx](Tick when) {
+            tlCtx = ExecCtx{this, lane_idx, when};
+        });
+        ++ran;
     }
+    L.executed += ran;
     tlCtx = saved;
-    if (prof)
+    if (profiling)
         SimProfiler::exchangeActive(prevProf);
     if (tracing)
         TransactionTracer::exchangeActive(prevTracer);
+    return ran;
 }
 
 void
@@ -308,10 +219,11 @@ ParallelEngine::workLoop(unsigned worker_id, std::uint64_t epoch_base,
                 cur, cur + 1, std::memory_order_acq_rel,
                 std::memory_order_acquire))
             continue;
-        Lane &L = *lanes[first + t];
-        const std::uint64_t before = L.executed;
-        runLane(first + t, window_end);
-        workerEvents_[worker_id] += L.executed - before;
+        const std::uint64_t ran = runLane(first + t, window_end);
+        workerEvents_[worker_id] += ran;
+        phaseEvents_.fetch_add(ran, std::memory_order_relaxed);
+        // Release publishes the lane's work, and phaseEvents_ above,
+        // to the coordinator's acquire on tasksDone_.
         tasksDone_.fetch_add(1, std::memory_order_release);
     }
 }
@@ -340,18 +252,16 @@ ParallelEngine::workerMain(unsigned worker_id)
     }
 }
 
-void
+std::uint64_t
 ParallelEngine::runPhase(unsigned first, unsigned count, Tick window_end,
                          std::uint64_t &phase_ns)
 {
     const auto t0 = std::chrono::steady_clock::now();
+    std::uint64_t ran = 0;
     if (threads.empty() || count <= 1) {
-        for (unsigned i = 0; i < count; ++i) {
-            Lane &L = *lanes[first + i];
-            const std::uint64_t before = L.executed;
-            runLane(first + i, window_end);
-            workerEvents_[0] += L.executed - before;
-        }
+        for (unsigned i = 0; i < count; ++i)
+            ran += runLane(first + i, window_end);
+        workerEvents_[0] += ran;
     } else {
         std::uint64_t epoch;
         {
@@ -361,6 +271,7 @@ ParallelEngine::runPhase(unsigned first, unsigned count, Tick window_end,
             phaseCount_ = count;
             phaseEnd_ = window_end;
             tasksDone_.store(0, std::memory_order_relaxed);
+            phaseEvents_.store(0, std::memory_order_relaxed);
             claimWord_.store(epoch << 32,
                              std::memory_order_release);
         }
@@ -373,9 +284,11 @@ ParallelEngine::runPhase(unsigned first, unsigned count, Tick window_end,
         while (tasksDone_.load(std::memory_order_acquire) != count)
             std::this_thread::yield();
         barrierWaitNs_ += nsSince(tw);
+        ran = phaseEvents_.load(std::memory_order_relaxed);
     }
     ++parallelPhases_;
     phase_ns += nsSince(t0);
+    return ran;
 }
 
 void
@@ -389,28 +302,21 @@ ParallelEngine::mergeOutboxes()
             const auto &ob = lanes[li]->outbox;
             for (std::uint32_t i = 0;
                  i < static_cast<std::uint32_t>(ob.size()); ++i)
-                mergeScratch.push_back(MergeRef{ob[i].when, li, i});
+                mergeScratch.push_back(CanonRef{ob[i].when, li, i});
         }
         if (mergeScratch.empty())
             return;
-        std::sort(mergeScratch.begin(), mergeScratch.end(),
-                  [](const MergeRef &a, const MergeRef &b) {
-                      if (a.when != b.when)
-                          return a.when < b.when;
-                      if (a.srcLane != b.srcLane)
-                          return a.srcLane < b.srcLane;
-                      return a.srcIdx < b.srcIdx;
-                  });
+        std::sort(mergeScratch.begin(), mergeScratch.end());
         // Remember how much of each outbox this pass consumes; entries
         // appended while applying are handled by the next pass.
-        std::vector<std::size_t> consumed(lanes.size());
+        mergeConsumed.resize(lanes.size());
         for (std::size_t li = 0; li < lanes.size(); ++li)
-            consumed[li] = lanes[li]->outbox.size();
+            mergeConsumed[li] = lanes[li]->outbox.size();
         ExecCtx saved = tlCtx;
         const bool observed =
             !profShards_.empty() || !traceShards_.empty();
-        for (const MergeRef &m : mergeScratch) {
-            Outbox &e = lanes[m.srcLane]->outbox[m.srcIdx];
+        for (const CanonRef &m : mergeScratch) {
+            Outbox &e = lanes[m.lane]->outbox[m.idx];
             tlCtx = ExecCtx{this, e.target, e.when};
             if (e.isCall) {
                 if (observed) {
@@ -434,7 +340,7 @@ ParallelEngine::mergeOutboxes()
                     e.fn();
                 }
             } else {
-                pushEvent(*lanes[e.target], e.when, std::move(e.fn));
+                lanes[e.target]->heap.push(e.when, std::move(e.fn));
             }
             ++crossLaneOps_;
         }
@@ -443,7 +349,7 @@ ParallelEngine::mergeOutboxes()
             auto &ob = lanes[li]->outbox;
             ob.erase(ob.begin(),
                      ob.begin()
-                         + static_cast<std::ptrdiff_t>(consumed[li]));
+                         + static_cast<std::ptrdiff_t>(mergeConsumed[li]));
         }
     }
 }
@@ -487,22 +393,14 @@ ParallelEngine::mergeObservers()
         const TransactionTracer &tr = *traceShards_[li];
         for (std::uint32_t i = 0;
              i < static_cast<std::uint32_t>(tr.size()); ++i)
-            traceScratch_.push_back(TraceRef{tr.at(i).tick, li, i});
+            traceScratch_.push_back(CanonRef{tr.at(i).tick, li, i});
     }
     if (traceScratch_.empty())
         return;
-    // Canonical order: (tick, lane, intra-lane record order) — a
-    // total order with no dependence on worker placement, so the main
-    // ring's contents are bit-identical for any --sim-threads.
-    std::sort(traceScratch_.begin(), traceScratch_.end(),
-              [](const TraceRef &a, const TraceRef &b) {
-                  if (a.tick != b.tick)
-                      return a.tick < b.tick;
-                  if (a.lane != b.lane)
-                      return a.lane < b.lane;
-                  return a.idx < b.idx;
-              });
-    for (const TraceRef &r : traceScratch_)
+    // Canonical order, so the main ring's contents are bit-identical
+    // for any --sim-threads.
+    std::sort(traceScratch_.begin(), traceScratch_.end());
+    for (const CanonRef &r : traceScratch_)
         mainTracer_->record(traceShards_[r.lane]->at(r.idx));
     for (auto &shard : traceShards_)
         shard->clear();
@@ -511,41 +409,32 @@ ParallelEngine::mergeObservers()
 Tick
 ParallelEngine::earliestEvent() const
 {
-    Tick best = kNoTick;
+    Tick best = maxTick;
     for (const auto &l : lanes)
-        if (!l->heap.empty() && l->heap.front().when < best)
-            best = l->heap.front().when;
+        if (!l->heap.empty() && l->heap.nextWhen() < best)
+            best = l->heap.nextWhen();
     return best;
 }
 
-void
+std::uint64_t
 ParallelEngine::runWindow(Tick window_end)
 {
-    const auto countRange = [this](unsigned first, unsigned count) {
-        std::uint64_t tot = 0;
-        for (unsigned i = 0; i < count; ++i)
-            tot += lanes[first + i]->executed;
-        return tot;
-    };
-
-    std::uint64_t mark = countRange(1, n_);
-    runPhase(1, n_, window_end, rowPhaseNs_);
-    rowEvents_ += countRange(1, n_) - mark;
+    const std::uint64_t rows = runPhase(1, n_, window_end, rowPhaseNs_);
+    rowEvents_ += rows;
     const auto tm0 = std::chrono::steady_clock::now();
     mergeOutboxes();
     serialNs_ += nsSince(tm0);
 
-    mark = countRange(1 + n_, n_);
-    runPhase(1 + n_, n_, window_end, colPhaseNs_);
-    colEvents_ += countRange(1 + n_, n_) - mark;
+    const std::uint64_t cols =
+        runPhase(1 + n_, n_, window_end, colPhaseNs_);
+    colEvents_ += cols;
 
     // Merges and the serial lane all run single-threaded on the
     // coordinator; they are the engine's serial fraction.
     const auto tm1 = std::chrono::steady_clock::now();
     mergeOutboxes();
-    mark = lanes[serialLane]->executed;
-    runLane(serialLane, window_end);
-    serialEvents_ += lanes[serialLane]->executed - mark;
+    const std::uint64_t serial = runLane(serialLane, window_end);
+    serialEvents_ += serial;
     mergeOutboxes();
     // Every deferral of the window has been applied: the state is the
     // quiescent post-window state. Global validators run now.
@@ -555,61 +444,43 @@ ParallelEngine::runWindow(Tick window_end)
     serialNs_ += nsSince(tm1);
 
     ++windows_;
-    std::uint64_t tot = 0;
-    for (const auto &l : lanes)
-        tot += l->executed;
-    executedTotal_.store(tot, std::memory_order_relaxed);
+    const std::uint64_t ran = rows + cols + serial;
+    executedTotal_.fetch_add(ran, std::memory_order_relaxed);
     if (progressHook && windows_ % progressEvery == 0)
         progressHook();
+    return ran;
 }
 
 std::uint64_t
-ParallelEngine::runUntil(Tick end)
+ParallelEngine::runUntil(Tick end, std::uint64_t limit)
 {
     const auto t0 = std::chrono::steady_clock::now();
     syncObservers();
-    const std::uint64_t startTotal =
-        executedTotal_.load(std::memory_order_relaxed);
+    std::uint64_t ran = 0;
     for (;;) {
         const Tick e = earliestEvent();
-        if (e == kNoTick || e > end)
+        if (e == maxTick || e > end) {
+            if (end != maxTick && now_ < end)
+                now_ = end;
+            break;
+        }
+        if (ran >= limit)
             break;
         if (e > now_)
             now_ = e; // skip an empty stretch in one jump
         if (end > now_ && end - now_ >= window_) {
             const Tick we = now_ + window_;
-            runWindow(we);
+            ran += runWindow(we);
             now_ = we;
         } else {
             // Final (partial) window: events at exactly `end` fire.
-            runWindow(end + 1);
+            ran += runWindow(end + 1);
             if (now_ < end)
                 now_ = end;
         }
     }
-    if (now_ < end)
-        now_ = end;
     wallNs_ += nsSince(t0);
-    return executedTotal_.load(std::memory_order_relaxed) - startTotal;
-}
-
-std::uint64_t
-ParallelEngine::runOneWindow()
-{
-    const Tick e = earliestEvent();
-    if (e == kNoTick)
-        return 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    syncObservers();
-    const std::uint64_t startTotal =
-        executedTotal_.load(std::memory_order_relaxed);
-    if (e > now_)
-        now_ = e;
-    const Tick we = now_ + window_;
-    runWindow(we);
-    now_ = we;
-    wallNs_ += nsSince(t0);
-    return executedTotal_.load(std::memory_order_relaxed) - startTotal;
+    return ran;
 }
 
 bool
@@ -708,46 +579,42 @@ void
 ParallelEngine::telemetryJson(std::ostream &os) const
 {
     const Telemetry t = telemetry();
-    os << "{\n";
-    os << "  \"workers_requested\": " << t.workersRequested << ",\n";
-    os << "  \"workers_effective\": " << t.workersEffective << ",\n";
-    os << "  \"window_ticks\": " << t.windowTicks << ",\n";
-    os << "  \"windows\": " << t.windows << ",\n";
-    os << "  \"parallel_phases\": " << t.parallelPhases << ",\n";
-    os << "  \"events\": " << t.events << ",\n";
-    os << "  \"serial_events\": " << t.serialEvents << ",\n";
-    os << "  \"row_events\": " << t.rowEvents << ",\n";
-    os << "  \"col_events\": " << t.colEvents << ",\n";
-    os << "  \"cross_lane_ops\": " << t.crossLaneOps << ",\n";
-    os << "  \"wall_ns\": " << t.wallNs << ",\n";
-    os << "  \"serial_ns\": " << t.serialNs << ",\n";
-    os << "  \"row_phase_ns\": " << t.rowPhaseNs << ",\n";
-    os << "  \"col_phase_ns\": " << t.colPhaseNs << ",\n";
-    os << "  \"barrier_wait_ns\": " << t.barrierWaitNs << ",\n";
-    os << "  \"peak_rss_bytes\": " << t.peakRssBytes << ",\n";
+    Json lanes_j = Json::array();
+    for (std::uint64_t v : t.laneEvents)
+        lanes_j.push(v);
+    Json workers_j = Json::array();
+    for (std::uint64_t v : t.workerEvents)
+        workers_j.push(v);
+    Json j = Json::object();
+    j.set("workers_requested", t.workersRequested);
+    j.set("workers_effective", t.workersEffective);
+    j.set("window_ticks", t.windowTicks);
+    j.set("windows", t.windows);
+    j.set("parallel_phases", t.parallelPhases);
+    j.set("events", t.events);
+    j.set("serial_events", t.serialEvents);
+    j.set("row_events", t.rowEvents);
+    j.set("col_events", t.colEvents);
+    j.set("cross_lane_ops", t.crossLaneOps);
+    j.set("wall_ns", t.wallNs);
+    j.set("serial_ns", t.serialNs);
+    j.set("row_phase_ns", t.rowPhaseNs);
+    j.set("col_phase_ns", t.colPhaseNs);
+    j.set("barrier_wait_ns", t.barrierWaitNs);
+    j.set("peak_rss_bytes", t.peakRssBytes);
     // Serial-lane pressure as first-class columns: the quantity the
     // per-node home-lane sharding shrinks (docs/PERFORMANCE.md).
-    os << "  \"serial_frac_events\": " << t.serialFracEvents()
-       << ",\n";
-    os << "  \"serial_events_per_window\": "
-       << t.serialEventsPerWindow() << ",\n";
-    os << "  \"serial_ns_per_window\": " << t.serialNsPerWindow()
-       << ",\n";
-    os << "  \"parallel_frac_events\": " << t.parallelFracEvents()
-       << ",\n";
-    os << "  \"parallel_frac_ns\": " << t.parallelFracNs() << ",\n";
-    os << "  \"imbalance\": " << t.imbalance() << ",\n";
-    os << "  \"projected_speedup_at_workers\": "
-       << t.projectedSpeedup(t.workersEffective) << ",\n";
-    os << "  \"lane_events\": [";
-    for (std::size_t i = 0; i < t.laneEvents.size(); ++i)
-        os << (i ? ", " : "") << t.laneEvents[i];
-    os << "],\n";
-    os << "  \"worker_events\": [";
-    for (std::size_t i = 0; i < t.workerEvents.size(); ++i)
-        os << (i ? ", " : "") << t.workerEvents[i];
-    os << "]\n";
-    os << "}\n";
+    j.set("serial_frac_events", t.serialFracEvents());
+    j.set("serial_events_per_window", t.serialEventsPerWindow());
+    j.set("serial_ns_per_window", t.serialNsPerWindow());
+    j.set("parallel_frac_events", t.parallelFracEvents());
+    j.set("parallel_frac_ns", t.parallelFracNs());
+    j.set("imbalance", t.imbalance());
+    j.set("projected_speedup_at_workers",
+          t.projectedSpeedup(t.workersEffective));
+    j.set("lane_events", std::move(lanes_j));
+    j.set("worker_events", std::move(workers_j));
+    os << j.dump();
 }
 
 } // namespace mcube

@@ -49,7 +49,11 @@
  * across thread counts but are not expected to equal the classic
  * engine's. The classic engine stays the default and is untouched.
  *
- * Scheduling an event in the past is a hard error here (it would be a
+ * Each lane is an EventHeap (sim/event_queue.hh), the same kernel the
+ * sequential engine runs on, stepped by the same dispatch. What the
+ * engine adds lives here, outside the heap: windows and phases, the
+ * outboxes that defer foreign-lane schedules, and the past-tick rule —
+ * scheduling an event in the past is a hard error here (it would be a
  * cross-shard causality violation); see EventQueue::schedule.
  */
 
@@ -57,6 +61,7 @@
 #define MCUBE_SIM_PARALLEL_ENGINE_HH
 
 #include <atomic>
+#include <compare>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -152,13 +157,15 @@ class ParallelEngine
      */
     void deferCall(unsigned lane, EventFn fn);
 
-    /** Run windows until simulated time reaches @p end (events at
-     *  exactly @p end do fire). @return events executed. */
-    std::uint64_t runUntil(Tick end);
-
-    /** Run a single window (used by drain loops); empty stretches are
-     *  skipped in one jump. @return events executed. */
-    std::uint64_t runOneWindow();
+    /**
+     * Run windows while an event at or before @p end is pending (events
+     * at exactly @p end fire) and fewer than @p limit events have run;
+     * a window is never split, so @p limit is honoured at window
+     * granularity. Empty stretches are skipped in one jump. Time is
+     * left at @p end if no event at or before it remains (never for
+     * end == maxTick). @return events executed.
+     */
+    std::uint64_t runUntil(Tick end, std::uint64_t limit);
 
     /** True if no events remain in any lane. */
     bool empty() const;
@@ -214,7 +221,7 @@ class ParallelEngine
         std::uint64_t rowEvents = 0;
         std::uint64_t colEvents = 0;
         std::uint64_t crossLaneOps = 0;  //!< merged outbox entries
-        std::uint64_t wallNs = 0;        //!< inside runUntil/runOneWindow
+        std::uint64_t wallNs = 0;        //!< inside runUntil
         std::uint64_t serialNs = 0;      //!< serial phase + merges
         std::uint64_t rowPhaseNs = 0;
         std::uint64_t colPhaseNs = 0;
@@ -255,13 +262,13 @@ class ParallelEngine
     struct Lane;
     struct Outbox;
 
-    void pushEvent(Lane &lane, Tick when, EventFn fn);
-    /** Execute @p lane's events with tick < @p window_end. */
-    void runLane(unsigned lane_idx, Tick window_end);
+    /** Execute @p lane's events with tick < @p window_end.
+     *  @return events executed. */
+    std::uint64_t runLane(unsigned lane_idx, Tick window_end);
     /** Run lanes [first, first+count) in parallel up to
-     *  @p window_end. */
-    void runPhase(unsigned first, unsigned count, Tick window_end,
-                  std::uint64_t &phase_ns);
+     *  @p window_end. @return events executed. */
+    std::uint64_t runPhase(unsigned first, unsigned count,
+                           Tick window_end, std::uint64_t &phase_ns);
     /** Claim-and-run lanes of one phase epoch (workers and the
      *  coordinator both execute this). */
     void workLoop(unsigned worker_id, std::uint64_t epoch_base,
@@ -276,8 +283,9 @@ class ParallelEngine
     void mergeObservers();
     /** Earliest pending tick across all lanes (Tick max if none). */
     Tick earliestEvent() const;
-    /** One window starting at now_, events with tick < window_end. */
-    void runWindow(Tick window_end);
+    /** One window starting at now_, events with tick < window_end.
+     *  @return events executed. */
+    std::uint64_t runWindow(Tick window_end);
     void workerMain(unsigned worker_id);
     [[noreturn]] void fatalPastTick(unsigned lane, Tick when,
                                     Tick ref) const;
@@ -304,6 +312,8 @@ class ParallelEngine
     std::atomic<std::uint64_t> claimWord_{0};
     /** Lanes of the current phase that finished running. */
     std::atomic<std::uint32_t> tasksDone_{0};
+    /** Events the current phase ran; complete once tasksDone_ is. */
+    std::atomic<std::uint64_t> phaseEvents_{0};
     bool quit_ = false;
     // Phase descriptor; written and read under poolMutex.
     std::uint64_t phaseEpoch_ = 0;
@@ -332,14 +342,24 @@ class ParallelEngine
     std::uint64_t barrierWaitNs_ = 0;
     std::vector<std::uint64_t> workerEvents_;
 
-    /** Scratch for mergeOutboxes (avoids per-merge allocation). */
-    struct MergeRef
+    /**
+     * An entry of lane @c lane's outbox or trace shard. Sorted, these
+     * give the canonical cross-lane order (tick, lane, index), which
+     * has no dependence on worker placement.
+     */
+    struct CanonRef
     {
-        Tick when;
-        std::uint32_t srcLane;
-        std::uint32_t srcIdx;
+        Tick tick;
+        std::uint32_t lane;
+        std::uint32_t idx;
+
+        auto operator<=>(const CanonRef &) const = default;
     };
-    std::vector<MergeRef> mergeScratch;
+
+    /** Scratch for mergeOutboxes (avoids per-merge allocation): the
+     *  canonical order, and how much of each outbox a pass consumes. */
+    std::vector<CanonRef> mergeScratch;
+    std::vector<std::size_t> mergeConsumed;
 
     // Lane-aware observability (see class comment). Shards exist only
     // while the corresponding main observer is active; both vectors
@@ -349,13 +369,7 @@ class ParallelEngine
     std::vector<std::unique_ptr<SimProfiler>> profShards_;
     std::vector<std::unique_ptr<TransactionTracer>> traceShards_;
     /** Scratch for mergeObservers' canonical trace sort. */
-    struct TraceRef
-    {
-        Tick tick;
-        std::uint32_t lane;
-        std::uint32_t idx;
-    };
-    std::vector<TraceRef> traceScratch_;
+    std::vector<CanonRef> traceScratch_;
 };
 
 } // namespace mcube

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <optional>
+#include <set>
 #include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/parallel_engine.hh"
 
 using namespace mcube;
 
@@ -147,9 +151,13 @@ TEST(EventQueue, RunUntilBoundarySameTickBatch)
 
 TEST(EventQueue, StressOrderingMatchesReference)
 {
-    // Pseudo-random (tick, id) schedule; execution order must equal a
-    // stable sort by (tick, schedule order).
-    EventQueue eq;
+    // Pseudo-random (tick, id) schedule in which every fifth event
+    // schedules a child 0-3 ticks later on its own lane; execution
+    // order must equal the reference, (tick, schedule order). The same
+    // schedule runs on the sequential queue and on a parallel-engine
+    // row lane, whose 4-tick window puts most children in their
+    // parent's window.
+    constexpr int initial = 2000;
     std::uint64_t state = 0x9e3779b97f4a7c15ull;
     auto next = [&state] {
         state ^= state << 13;
@@ -157,21 +165,57 @@ TEST(EventQueue, StressOrderingMatchesReference)
         state ^= state << 17;
         return state;
     };
-    std::vector<std::pair<Tick, int>> expect;
-    std::vector<int> order;
-    for (int i = 0; i < 2000; ++i) {
-        Tick t = next() % 97;
-        expect.emplace_back(t, i);
-        eq.schedule(t, [&order, i] { order.push_back(i); });
+    std::vector<Tick> ticks;
+    for (int i = 0; i < initial; ++i)
+        ticks.push_back(next() % 97);
+    const auto childDelay = [](int id) -> std::optional<Tick> {
+        if (id % 5 != 0)
+            return std::nullopt;
+        return static_cast<Tick>(id % 4);
+    };
+
+    std::vector<int> expect;
+    {
+        std::set<std::pair<Tick, int>> pending;
+        int ids = 0;
+        for (Tick t : ticks)
+            pending.emplace(t, ids++);
+        while (!pending.empty()) {
+            const auto [t, id] = *pending.begin();
+            pending.erase(pending.begin());
+            expect.push_back(id);
+            if (const auto d = childDelay(id))
+                pending.emplace(t + *d, ids++);
+        }
     }
-    std::stable_sort(expect.begin(), expect.end(),
-                     [](const auto &a, const auto &b) {
-                         return a.first < b.first;
-                     });
-    eq.run();
-    ASSERT_EQ(order.size(), expect.size());
-    for (std::size_t i = 0; i < expect.size(); ++i)
-        EXPECT_EQ(order[i], expect[i].second) << i;
+
+    for (const bool onLane : {false, true}) {
+        SCOPED_TRACE(onLane ? "parallel-engine row lane"
+                            : "sequential queue");
+        EventQueue eq;
+        std::unique_ptr<ParallelEngine> eng;
+        unsigned lane = 0; // ignored without an engine
+        if (onLane) {
+            eng = std::make_unique<ParallelEngine>(eq, 2, 2, 4);
+            eq.setParallel(eng.get());
+            lane = eng->rowLane(1);
+        }
+        std::vector<int> order;
+        int ids = 0;
+        std::function<void(Tick)> add = [&](Tick delay) {
+            const int id = ids++;
+            eq.scheduleInLane(lane, delay, [&, id] {
+                order.push_back(id);
+                if (const auto d = childDelay(id))
+                    add(*d);
+            });
+        };
+        for (Tick t : ticks)
+            add(t);
+        eq.run();
+        EXPECT_EQ(order, expect);
+        EXPECT_EQ(eq.eventsExecuted(), expect.size());
+    }
 }
 
 TEST(EventQueue, OversizedCaptureFallsBackToHeap)
